@@ -78,8 +78,9 @@ diff -r "$ne_out/serial" "$ne_out/topo"
 # crash-isolated worker processes, with one worker SIGKILLed shortly
 # after launch. The supervisor must absorb the kill (retry the
 # forfeited leases on the survivor / a replacement) and the figures
-# must still be byte-identical to the serial run; a second supervised
-# run resumes warm from the shared cache and must match too.
+# must still be byte-identical to the serial run. A second supervised
+# run resumes from the result store: the parent serves every cell from
+# the index, so it must simulate nothing and match too.
 echo "==> supervised sweep smoke (repro 9 --supervise 2, one worker SIGKILLed)"
 sv_out="${TMPDIR:-/tmp}/bbrdom-ci-supervised"
 rm -rf "$sv_out"
@@ -88,8 +89,11 @@ rm -rf "$sv_out"
     # supervisor's work dir). Give up quietly after 60 polls — the
     # smoke batch may finish before a kill lands, which is fine: the
     # assertion is output identity either way.
+    # `|| true`: under `set -eo pipefail` a failed find (the supervise
+    # dir does not exist yet) would otherwise end this subshell on its
+    # first poll, and the kill would never land.
     for _ in $(seq 60); do
-        pidfile=$(find "$sv_out/cache/supervise" -name 'worker-*.pid' 2>/dev/null | head -1)
+        pidfile=$(find "$sv_out/cache/supervise" -name 'worker-*.pid' 2>/dev/null | head -1 || true)
         if [[ -n "$pidfile" ]]; then
             kill -9 "$(cat "$pidfile")" 2>/dev/null || true
             exit 0
@@ -105,8 +109,15 @@ wait "$killer" || true
 diff -r --exclude=cache "$ne_out/serial" "$sv_out/supervised"
 cargo run --release -p bbrdom-experiments --bin repro -- 9 --smoke \
     --supervise 2 --jobs 1 --watchdog 10 \
-    --cache-dir "$sv_out/cache" --out "$sv_out/resumed"
+    --cache-dir "$sv_out/cache" --out "$sv_out/resumed" \
+    2> "$sv_out/resumed.log" || { cat "$sv_out/resumed.log"; exit 1; }
+cat "$sv_out/resumed.log"
 diff -r --exclude=cache "$ne_out/serial" "$sv_out/resumed"
+grep -F "(0 simulated (0 events)" "$sv_out/resumed.log" >/dev/null \
+    || { echo "resumed supervised fig 9 still simulated something"; exit 1; }
+if find "$sv_out/cache" -name 'batch-*.jsonl' | grep -q .; then
+    echo "supervised sweep left a batch journal behind"; exit 1
+fi
 
 # Adaptive NE smoke: the model-guided search with early termination must
 # land every observed NE within one grid step of the dense grid's, per

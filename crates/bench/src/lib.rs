@@ -1,38 +1,17 @@
-//! Shared helpers for the per-figure Criterion benchmarks.
+//! Pinned performance harnesses for the workspace.
 //!
-//! Each `benches/figNN.rs` regenerates (a scaled-down slice of) the data
-//! behind one figure of the paper, so `cargo bench` both times the
-//! machinery and re-verifies that every figure's pipeline still runs.
-//! The full-size figure data comes from the `repro` binary
-//! (`bbrdom-experiments`); benches use the smoke profile to stay fast.
-
-use bbrdom_experiments::Profile;
-
-/// The profile benches run with: seconds-scale sims.
-pub fn bench_profile() -> Profile {
-    Profile::smoke()
-}
-
-/// A tiny two-flow simulation used by several benches, returning the
-/// challenger's measured throughput in Mbps.
-pub fn tiny_sim(mbps: f64, buffer_bdp: f64, challenger: bbrdom_cca::CcaKind) -> f64 {
-    use bbrdom_experiments::Scenario;
-    let s = Scenario::versus(mbps, 20.0, buffer_bdp, 1, challenger, 1, 4.0, 42);
-    s.run().mean_throughput_of(challenger.name()).unwrap_or(0.0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tiny_sim_produces_throughput() {
-        let t = tiny_sim(10.0, 2.0, bbrdom_cca::CcaKind::Bbr);
-        assert!(t > 0.0 && t < 11.0);
-    }
-
-    #[test]
-    fn bench_profile_is_smoke_sized() {
-        assert!(bench_profile().duration_secs <= 10.0);
-    }
-}
+//! The benches live under `benches/` and each gates or records one
+//! claim, writing its numbers to a `BENCH_*.json` file at the repo root:
+//!
+//! * `netsim_perf` — simulator events/sec, with pinned floors on the
+//!   open-loop churn and parking-lot cases (`BENCH_netsim.json`);
+//! * `payoff_perf` — serial vs parallel vs warm-cache payoff grids
+//!   (`BENCH_payoff.json`);
+//! * `sweep_perf` — adaptive + early-stop NE search against the dense
+//!   grid (`BENCH_sweep.json`);
+//! * `store_perf` — store-served figure assembly against full-report
+//!   parsing (`BENCH_store.json`);
+//! * `fluid_perf` — fluid vs DES payoff grid speedup (`BENCH_fluid.json`).
+//!
+//! Run one with `cargo bench -p bbrdom-bench --bench <name>`. Figure
+//! data itself comes from the `repro` binary (`bbrdom-experiments`).

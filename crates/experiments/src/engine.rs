@@ -12,24 +12,27 @@
 //!
 //! 1. results are gathered by *scenario index*, never by completion
 //!    order;
-//! 2. the JSONL sweep journal is written by a single writer (the thread
-//!    that owns the receive side of the results channel), strictly in
-//!    index order, so `--jobs 1` and `--jobs 8` produce byte-identical
-//!    journals and a crash can only truncate the journal at a line
-//!    boundary;
+//! 2. the result store's index ([`crate::store`]) is appended by a
+//!    single writer (the thread that owns the receive side of the
+//!    results channel), strictly in index order, so `--jobs 1` and
+//!    `--jobs 8` produce byte-identical index files and a crash can only
+//!    truncate the index at a line boundary;
 //! 3. each simulation is a pure function of its [`Scenario`], so the
 //!    engine may memoize: a **content-addressed cache** keyed by a
 //!    stable 128-bit hash of the *full* scenario (link, buffer, flows,
 //!    CCAs, RTTs, seeds, discipline, fault schedule — see
-//!    [`scenario_hash`]) returns previous `SimReport`s instead of
-//!    re-simulating, in-process always and on disk (`results/cache/`)
-//!    when enabled. NE searches re-evaluate neighboring strategy
-//!    profiles constantly; warm reruns skip the work entirely.
+//!    [`scenario_hash`]) returns previous results instead of
+//!    re-simulating: from the in-process memo, from the result store,
+//!    or from the full report on disk (`results/cache/`) when enabled.
+//!    NE searches re-evaluate neighboring strategy profiles constantly;
+//!    warm reruns skip the work entirely.
 //!
 //! Fail-soft sweep semantics ([`crate::runner::run_sweep`]) ride on the
-//! same machinery: per-trial [`TrialOutcome`]s, event/wall-clock
-//! budgets, and journal resume. A cached success is only reused under an
-//! event budget when the recorded run fit that budget
+//! same machinery: per-trial [`TrialOutcome`]s and event/wall-clock
+//! budgets. Resuming an interrupted sweep is a store lookup — rerun the
+//! same command and every finished success is served from the index;
+//! failures are never served, so they re-run. A cached success is only
+//! reused under an event budget when the recorded run fit that budget
 //! (`events_processed <= budget`), so caching never flips a
 //! budget-failure into a success or vice versa.
 
@@ -40,7 +43,6 @@ use bbrdom_netsim::json::{self, Value};
 use bbrdom_netsim::SimReport;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -195,7 +197,7 @@ pub fn scenario_hash(s: &Scenario) -> u128 {
 }
 
 /// [`scenario_hash`] as the fixed-width hex string used for cache file
-/// names and journal keys.
+/// names and index keys.
 pub fn scenario_hash_hex(s: &Scenario) -> String {
     format!("{:032x}", scenario_hash(s))
 }
@@ -323,100 +325,6 @@ impl CacheStats {
     }
 }
 
-/// One parsed sweep-journal record (see [`journal_line`]).
-pub(crate) struct JournalEntry {
-    pub index: usize,
-    pub key: String,
-    pub outcome: TrialOutcome,
-    pub event_budget: Option<u64>,
-    pub wall_budget_ns: Option<u64>,
-    /// Recorded event count — present only on the supervisor's wire
-    /// protocol (workers report it so the parent's result store stays
-    /// budget-admissible), never written to journal files.
-    pub events: Option<u64>,
-}
-
-/// The journal record as a JSON value (see [`journal_line`]). Split out
-/// so the supervisor's wire protocol can extend a record with fields
-/// that journal *files* must not carry (the parent re-serializes its
-/// own journal, keeping the on-disk byte format frozen).
-pub(crate) fn journal_value(
-    index: usize,
-    key: &str,
-    outcome: &TrialOutcome,
-    event_budget: Option<u64>,
-    wall_budget_ns: Option<u64>,
-) -> Value {
-    let mut v = Value::object();
-    v.set("index", Value::U64(index as u64))
-        .set("key", key.into());
-    match outcome {
-        TrialOutcome::Ok(r) => {
-            v.set("ok", true.into()).set("result", r.to_json_value());
-        }
-        TrialOutcome::Failed(f) => {
-            v.set("ok", false.into())
-                .set("error", Value::Str(f.error.clone()))
-                .set("context", Value::Str(f.context.clone()));
-            if let Some(b) = event_budget {
-                v.set("event_budget", Value::U64(b));
-            }
-            if let Some(b) = wall_budget_ns {
-                v.set("wall_budget_ns", Value::U64(b));
-            }
-        }
-    }
-    v
-}
-
-/// Serialize one finished trial as a journal line. Every record carries
-/// the scenario's content hash (`key`), so resume can never reuse a
-/// trial whose scenario was edited between runs; failed records also
-/// carry the budgets they failed under, so raising a budget re-runs
-/// them instead of resuming a stale failure.
-pub(crate) fn journal_line(
-    index: usize,
-    key: &str,
-    outcome: &TrialOutcome,
-    event_budget: Option<u64>,
-    wall_budget_ns: Option<u64>,
-) -> String {
-    journal_value(index, key, outcome, event_budget, wall_budget_ns).to_json()
-}
-
-/// Parse one journal line; `None` for malformed or truncated lines
-/// (e.g. a crash mid-write), which are simply re-run.
-pub(crate) fn parse_journal_line(line: &str) -> Option<JournalEntry> {
-    let v = json::parse(line).ok()?;
-    let index = v.get("index")?.as_u64()? as usize;
-    let key = v.get("key")?.as_str()?.to_string();
-    let ok = match v.get("ok")? {
-        Value::Bool(b) => *b,
-        _ => return None,
-    };
-    let outcome = if ok {
-        TrialOutcome::Ok(TrialResult::from_json_value(v.get("result")?).ok()?)
-    } else {
-        TrialOutcome::Failed(TrialFailure {
-            index,
-            error: v.get("error")?.as_str()?.to_string(),
-            context: v
-                .get("context")
-                .and_then(Value::as_str)
-                .unwrap_or("")
-                .to_string(),
-        })
-    };
-    Some(JournalEntry {
-        index,
-        key,
-        outcome,
-        event_budget: v.get("event_budget").and_then(Value::as_u64),
-        wall_budget_ns: v.get("wall_budget_ns").and_then(Value::as_u64),
-        events: v.get("events").and_then(Value::as_u64),
-    })
-}
-
 /// One-line scenario summary used as failure context.
 pub(crate) fn scenario_context(s: &Scenario) -> String {
     format!(
@@ -541,7 +449,7 @@ impl Engine {
     /// [`Engine::run_all`] with an explicit pool size.
     pub fn run_all_jobs(&self, scenarios: &[Scenario], jobs: usize) -> Vec<TrialResult> {
         let outcomes = self
-            .execute(scenarios, jobs, None, None, None)
+            .execute(scenarios, jobs, None, None)
             .unwrap_or_else(|e| panic!("sweep failed: {e}"));
         let mut results = Vec::with_capacity(outcomes.len());
         for outcome in outcomes {
@@ -558,9 +466,9 @@ impl Engine {
     /// Run all scenarios fail-soft: one panicking, livelocked, or
     /// invalid scenario becomes a structured [`TrialOutcome::Failed`]
     /// while the rest of the sweep completes. Outcomes come back in
-    /// input order. See [`crate::runner::run_sweep`] for the journal
-    /// resume contract and the error cases (an unopenable journal is
-    /// the only one on the in-process path).
+    /// input order. See [`crate::runner::run_sweep`] for the resume
+    /// contract and the error cases (only a supervised batch can fail
+    /// as a whole).
     pub fn run_sweep(
         &self,
         scenarios: &[Scenario],
@@ -571,78 +479,36 @@ impl Engine {
             config.jobs.unwrap_or(self.config.jobs),
             config.event_budget,
             config.wall_budget,
-            config.journal.as_deref(),
         )
     }
 
     /// The shared batch executor. Deterministic contract: the returned
-    /// vector is indexed by scenario, and any journal is appended in
-    /// strict index order by the single thread that owns the channel's
-    /// receive side.
+    /// vector is indexed by scenario, and the result store is appended
+    /// in strict index order by the single thread that owns the
+    /// channel's receive side.
     fn execute(
         &self,
         scenarios: &[Scenario],
         jobs: usize,
         event_budget: Option<u64>,
         wall_budget: Option<std::time::Duration>,
-        journal: Option<&Path>,
     ) -> Result<Vec<TrialOutcome>, bbrdom_netsim::ConfigError> {
         let n = scenarios.len();
         let hashes: Vec<u128> = scenarios.iter().map(scenario_hash).collect();
         let keys: Vec<String> = hashes.iter().map(|h| format!("{h:032x}")).collect();
         let wall_budget_ns = wall_budget.map(|d| d.as_nanos() as u64);
-        let mut done: Vec<Option<TrialOutcome>> = (0..n).map(|_| None).collect();
-        // Recorded event counts, alongside `done`: fed to the result
-        // store so its entries stay budget-admissible. Unknown (`None`)
-        // for failures and journal-resumed slots.
-        let mut done_events: Vec<Option<u64>> = vec![None; n];
-
-        // Supervised batches without an explicit journal get one derived
-        // from the batch's content hash, so a parent crash mid-batch
-        // resumes instead of restarting (workers never write it — the
-        // parent stays the single writer).
-        let auto_journal: Option<PathBuf> = match (&journal, &self.config.supervise) {
-            (None, Some(sup)) if n > 0 => Some(
-                sup.state_dir
-                    .join(format!("batch-{}.jsonl", batch_tag(&keys))),
-            ),
-            _ => None,
-        };
-        let journal: Option<&Path> = journal.or(auto_journal.as_deref());
-
-        // Resume: pre-fill slots from the journal when the record's
-        // scenario hash (and, for failures, its budgets) still match.
-        if let Some(path) = journal {
-            if let Ok(file) = std::fs::File::open(path) {
-                for line in std::io::BufReader::new(file).lines() {
-                    let Ok(line) = line else { break };
-                    let Some(entry) = parse_journal_line(&line) else {
-                        continue;
-                    };
-                    if entry.index >= n || entry.key != keys[entry.index] {
-                        continue;
-                    }
-                    if entry.outcome.failure().is_some()
-                        && (entry.event_budget != event_budget
-                            || entry.wall_budget_ns != wall_budget_ns)
-                    {
-                        continue;
-                    }
-                    done[entry.index] = Some(entry.outcome);
-                }
-            }
-        }
+        // Finished slots: the outcome plus its recorded event count, which
+        // the result store needs to keep entries budget-admissible
+        // (unknown, `None`, for failures).
+        let mut done: Vec<Option<(TrialOutcome, Option<u64>)>> = (0..n).map(|_| None).collect();
 
         // Intra-batch dedup: identical scenarios (payoff matrices share
         // cells) are simulated once; duplicates copy the representative.
         let mut rep_of_hash: HashMap<u128, usize> = HashMap::new();
         let mut aliases: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut pending: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if done[i].is_some() {
-                continue;
-            }
-            match rep_of_hash.entry(hashes[i]) {
+        for (i, &hash) in hashes.iter().enumerate() {
+            match rep_of_hash.entry(hash) {
                 Entry::Vacant(slot) => {
                     slot.insert(i);
                     pending.push(i);
@@ -654,84 +520,61 @@ impl Engine {
             }
         }
 
-        // All indices that will gain a journal line this run, ascending
-        // — the writer flushes them in exactly this order.
-        let to_journal: Vec<usize> = (0..n).filter(|&i| done[i].is_none()).collect();
-
-        let mut journal_file = match journal {
-            None => None,
-            Some(path) => match open_journal_append(path) {
-                Ok(file) => Some(file),
-                // The auto-journal is an accelerator, not part of the
-                // caller's contract: degrade to a non-resumable batch.
-                Err(e) if auto_journal.is_some() => {
-                    eprintln!(
-                        "warning: cannot open supervise journal {}: {e}; batch will not resume",
-                        path.display()
-                    );
-                    None
-                }
-                Err(e) => {
-                    return Err(bbrdom_netsim::ConfigError::Io {
-                        what: "sweep journal",
-                        path: path.display().to_string(),
-                        reason: e.to_string(),
-                    })
-                }
-            },
-        };
-
-        // Flush the contiguous prefix of finished indices to the journal
-        // and the result store, in strict index order — one cursor, one
-        // writer, so serial, pooled, and supervised runs produce
-        // byte-identical journal *and* index files. A failed write is
-        // not fatal: the sweep still completes, the trial just won't
-        // resume (or index) for free.
+        // Flush the contiguous prefix of finished indices to the result
+        // store, in strict index order — one cursor, one writer, so
+        // serial, pooled, and supervised runs produce byte-identical
+        // index files. A failed write is not fatal: the sweep still
+        // completes, the trial just won't resume for free.
         let store = self.store();
-        let flush_finished =
-            |done: &Vec<Option<TrialOutcome>>,
-             done_events: &Vec<Option<u64>>,
-             cursor: &mut usize,
-             journal_file: &mut Option<std::fs::File>| {
-                while *cursor < to_journal.len() {
-                    let idx = to_journal[*cursor];
-                    let Some(outcome) = &done[idx] else { break };
-                    if let Some(file) = journal_file.as_mut() {
-                        let line =
-                            journal_line(idx, &keys[idx], outcome, event_budget, wall_budget_ns);
-                        let _ = writeln!(file, "{line}");
-                        let _ = file.flush();
-                    }
-                    if let Some(store) = store {
-                        store.record(
-                            &keys[idx],
-                            &scenarios[idx],
-                            outcome,
-                            done_events[idx],
-                            event_budget,
-                            wall_budget_ns,
-                        );
-                    }
-                    *cursor += 1;
+        let flush_finished = |done: &[Option<(TrialOutcome, Option<u64>)>], cursor: &mut usize| {
+            while let Some(Some((outcome, events))) = done.get(*cursor) {
+                if let Some(store) = store {
+                    store.record(
+                        &keys[*cursor],
+                        &scenarios[*cursor],
+                        outcome,
+                        *events,
+                        event_budget,
+                        wall_budget_ns,
+                    );
                 }
-            };
+                *cursor += 1;
+            }
+        };
+        // Slot a representative's outcome, and a copy for each duplicate.
+        let finish = |done: &mut [Option<(TrialOutcome, Option<u64>)>],
+                      i: usize,
+                      outcome: TrialOutcome,
+                      events: Option<u64>| {
+            for &alias in aliases.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
+                done[alias] = Some((retarget(&outcome, alias), events));
+            }
+            done[i] = Some((outcome, events));
+        };
 
         let mut cursor = 0usize;
 
-        // Supervised execution: pending work is sharded across worker
-        // subprocesses; this process slots results by index and remains
-        // the journal's single writer, so the output is bit-identical
-        // to the in-process paths below.
+        // Supervised execution: cells the result store already holds are
+        // served here, so a resumed batch spawns no worker for them; the
+        // rest is sharded across worker subprocesses. This process slots
+        // results by index and remains the store's single writer, so the
+        // output is bit-identical to the in-process paths below.
         if let Some(sup) = self.config.supervise.clone() {
+            if let Some(store) = store {
+                pending.retain(|&i| match store.lookup(hashes[i], event_budget) {
+                    Some((result, events)) => {
+                        self.store_hits.fetch_add(1, Ordering::Relaxed);
+                        finish(&mut done, i, TrialOutcome::Ok(result), events);
+                        false
+                    }
+                    None => true,
+                });
+                flush_finished(&done, &mut cursor);
+            }
             if !pending.is_empty() {
                 let mut on_result = |i: usize, outcome: TrialOutcome, events: Option<u64>| {
-                    for &alias in aliases.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                        done[alias] = Some(retarget(&outcome, alias));
-                        done_events[alias] = events;
-                    }
-                    done[i] = Some(outcome);
-                    done_events[i] = events;
-                    flush_finished(&done, &done_events, &mut cursor, &mut journal_file);
+                    finish(&mut done, i, outcome, events);
+                    flush_finished(&done, &mut cursor);
                 };
                 let stats = crate::supervisor::run_supervised(
                     &sup,
@@ -742,14 +585,13 @@ impl Engine {
                     wall_budget_ns,
                     jobs.max(1),
                     self.config.disk_cache.as_deref(),
-                    journal,
                     &mut on_result,
                 )?;
                 self.absorb(&stats);
             }
             return Ok(done
                 .into_iter()
-                .map(|slot| slot.expect("scenario not executed"))
+                .map(|slot| slot.expect("scenario not executed").0)
                 .collect());
         }
 
@@ -762,17 +604,12 @@ impl Engine {
             // ordering contract holds trivially.
             for &i in &pending {
                 if crate::supervisor::interrupted() {
-                    crate::supervisor::exit_interrupted(journal);
+                    crate::supervisor::exit_interrupted();
                 }
                 let (outcome, events) =
                     self.run_one(&scenarios[i], hashes[i], i, event_budget, wall_budget);
-                for &alias in aliases.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                    done[alias] = Some(retarget(&outcome, alias));
-                    done_events[alias] = events;
-                }
-                done[i] = Some(outcome);
-                done_events[i] = events;
-                flush_finished(&done, &done_events, &mut cursor, &mut journal_file);
+                finish(&mut done, i, outcome, events);
+                flush_finished(&done, &mut cursor);
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -799,20 +636,15 @@ impl Engine {
                 drop(tx);
 
                 // Single writer: results arrive in completion order, are
-                // slotted by index, and the journal advances only over the
+                // slotted by index, and the store advances only over the
                 // contiguous prefix of finished indices.
                 for (i, outcome, events) in rx {
-                    for &alias in aliases.get(&i).map(Vec::as_slice).unwrap_or(&[]) {
-                        done[alias] = Some(retarget(&outcome, alias));
-                        done_events[alias] = events;
-                    }
-                    done[i] = Some(outcome);
-                    done_events[i] = events;
-                    flush_finished(&done, &done_events, &mut cursor, &mut journal_file);
-                    // The flush above already wrote the contiguous
+                    finish(&mut done, i, outcome, events);
+                    flush_finished(&done, &mut cursor);
+                    // The flush above already indexed the contiguous
                     // prefix, so a graceful stop loses nothing resumable.
                     if crate::supervisor::interrupted() {
-                        crate::supervisor::exit_interrupted(journal);
+                        crate::supervisor::exit_interrupted();
                     }
                 }
             });
@@ -820,7 +652,7 @@ impl Engine {
 
         Ok(done
             .into_iter()
-            .map(|slot| slot.expect("scenario not executed"))
+            .map(|slot| slot.expect("scenario not executed").0)
             .collect())
     }
 
@@ -983,53 +815,6 @@ fn retarget(outcome: &TrialOutcome, index: usize) -> TrialOutcome {
     }
 }
 
-/// Stable 64-bit tag of a batch's scenario-key list, used to name
-/// supervised work dirs and auto-journals so the same logical batch
-/// resumes across process restarts.
-pub(crate) fn batch_tag(keys: &[String]) -> String {
-    let mut h = StableHasher::new();
-    h.write_bytes(b"sweep-batch");
-    (keys.len() as u64).stable_hash(&mut h);
-    for k in keys {
-        k.stable_hash(&mut h);
-    }
-    format!("{:016x}", h.finish() as u64)
-}
-
-/// Truncate a journal to its last complete line. A crash (or SIGKILL)
-/// mid-write can leave a partial record with no trailing newline;
-/// appending to it would glue the next record onto the fragment and
-/// corrupt *both*. Run before every append-mode open.
-fn repair_journal_tail(path: &Path) -> std::io::Result<()> {
-    let data = match std::fs::read(path) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e),
-    };
-    if data.last().is_some_and(|&b| b != b'\n') {
-        let keep = data.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
-        let file = std::fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(keep as u64)?;
-    }
-    Ok(())
-}
-
-/// Open a journal for appending: create parent directories, drop any
-/// torn final line, then open in append mode. Shared with the result
-/// store's index, which follows the same append/repair discipline.
-pub(crate) fn open_journal_append(path: &Path) -> std::io::Result<std::fs::File> {
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)?;
-        }
-    }
-    repair_journal_tail(path)?;
-    std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-}
-
 fn cache_entry_path(dir: &Path, hash: u128) -> PathBuf {
     dir.join(format!("{hash:032x}.json"))
 }
@@ -1130,39 +915,5 @@ mod tests {
             .count();
         assert_eq!(leaked, 0, "temp files must not leak");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn journal_tail_repair_truncates_partial_final_line() {
-        let dir = temp_dir("tail");
-        let path = dir.join("sweep.jsonl");
-
-        std::fs::write(&path, "{\"a\":1}\n{\"b\":2}\n{\"partia").unwrap();
-        drop(open_journal_append(&path).unwrap());
-        assert_eq!(
-            std::fs::read_to_string(&path).unwrap(),
-            "{\"a\":1}\n{\"b\":2}\n",
-            "torn tail must be dropped, complete lines kept"
-        );
-
-        std::fs::write(&path, "{\"no-newline-at-al").unwrap();
-        drop(open_journal_append(&path).unwrap());
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
-
-        // A missing journal (and missing parent dir) is created.
-        let fresh = dir.join("sub/dir/new.jsonl");
-        drop(open_journal_append(&fresh).unwrap());
-        assert!(fresh.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn batch_tag_depends_on_keys_and_order() {
-        let a = vec!["k1".to_string(), "k2".to_string()];
-        let b = vec!["k2".to_string(), "k1".to_string()];
-        let c = vec!["k1".to_string(), "k2".to_string()];
-        assert_eq!(batch_tag(&a), batch_tag(&c));
-        assert_ne!(batch_tag(&a), batch_tag(&b));
-        assert_eq!(batch_tag(&a).len(), 16);
     }
 }

@@ -17,12 +17,12 @@
 //!   failing index (figure sweeps, where any failure is a bug);
 //! * [`run_sweep`] — fail-soft and resumable: failures become structured
 //!   [`TrialOutcome::Failed`] records, budgets guard against livelock,
-//!   and a JSONL journal checkpoints finished trials for resume.
+//!   and the engine's result store ([`crate::store`]) records every
+//!   finished trial, so a rerun resumes where an interrupted one stopped.
 
 use crate::engine::Engine;
 use crate::scenario::{Scenario, TrialResult};
 use std::any::Any;
-use std::path::PathBuf;
 
 /// Number of worker threads to use by default.
 pub fn default_workers() -> usize {
@@ -105,7 +105,7 @@ impl TrialOutcome {
     }
 }
 
-/// Configuration for a fail-soft, resumable sweep ([`run_sweep`]).
+/// Configuration for a fail-soft sweep ([`run_sweep`]).
 #[derive(Debug, Clone, Default)]
 pub struct SweepConfig {
     /// Worker threads (`None` = the engine's configured `--jobs`).
@@ -114,24 +114,19 @@ pub struct SweepConfig {
     pub event_budget: Option<u64>,
     /// Per-scenario wall-clock budget (`None` = unlimited).
     pub wall_budget: Option<std::time::Duration>,
-    /// JSONL journal path. Completed trials (successes *and* structured
-    /// failures) are appended in scenario-index order as they finish; a
-    /// rerun with the same journal reuses entries whose scenario hash
-    /// (and, for failures, budgets) still match instead of re-running
-    /// them.
-    pub journal: Option<PathBuf>,
 }
 
 /// Run all scenarios fail-soft: one panicking, livelocked, or invalid
 /// scenario becomes a structured [`TrialOutcome::Failed`] while the rest
 /// of the sweep completes. Outcomes come back in input order.
 ///
-/// With [`SweepConfig::journal`] set, finished trials are checkpointed as
-/// JSONL by a single writer in strict index order (so `--jobs 1` and
-/// `--jobs 8` journals are byte-identical); rerunning the same sweep
-/// resumes, re-using every journal entry whose scenario hash still
-/// matches and re-running only the rest. A journal that cannot be
-/// opened (unwritable path) is a typed
+/// Resume is a store lookup: with a disk cache configured, every
+/// finished trial is indexed in strict scenario-index order, and
+/// rerunning the same sweep serves each indexed success (keyed by
+/// scenario content hash, so an edited scenario is a miss) and re-runs
+/// only the rest. Failures are indexed but never served, so they re-run.
+/// The only sweep-wide error is a supervised batch that cannot set up
+/// its work dir or spawn a worker, a typed
 /// [`ConfigError::Io`](bbrdom_netsim::ConfigError::Io) — per-trial
 /// failures stay fail-soft inside the `Ok` outcome vector.
 pub fn run_sweep(
@@ -144,7 +139,8 @@ pub fn run_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{journal_line, parse_journal_line, scenario_hash_hex};
+    use crate::engine::scenario_hash_hex;
+    use crate::store::{Store, StoreEntry, StoreOutcome, INDEX_FILE};
     use bbrdom_cca::CcaKind;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -211,12 +207,6 @@ mod tests {
         );
     }
 
-    fn temp_path(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("bbrdom-sweep-{name}-{}", std::process::id()));
-        p
-    }
-
     #[test]
     fn sweep_survives_a_failing_scenario() {
         // Scenario 1 is invalid (no flows): the sweep must record a
@@ -262,74 +252,97 @@ mod tests {
         }
     }
 
+    fn temp_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("bbrdom-sweep-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A single-threaded engine whose only cross-run memory is the disk
+    /// cache and its result store (no memo), like a `repro` rerun.
+    fn store_engine(dir: &std::path::Path) -> Engine {
+        Engine::new(crate::engine::EngineConfig {
+            jobs: 1,
+            disk_cache: Some(dir.to_path_buf()),
+            memory_cache: false,
+            supervise: None,
+            result_store: true,
+        })
+    }
+
+    fn index_lines(dir: &std::path::Path) -> Vec<String> {
+        std::fs::read_to_string(dir.join(INDEX_FILE))
+            .unwrap()
+            .lines()
+            .map(str::to_string)
+            .collect()
+    }
+
+    /// `line` with its first throughput set to 999 — a value no
+    /// simulation produces, so seeing it back proves the resumed sweep
+    /// served the index entry verbatim.
+    fn tampered_line(line: &str) -> String {
+        let mut entry = StoreEntry::from_json_line(line).expect("valid index line");
+        let StoreOutcome::Ok { result, .. } = &mut entry.outcome else {
+            panic!("ok entry");
+        };
+        result.throughput_mbps[0] = 999.0;
+        entry.to_json_line()
+    }
+
     #[test]
-    fn sweep_journal_resumes_without_rerunning() {
-        let path = temp_path("resume");
-        let _ = std::fs::remove_file(&path);
+    fn store_resume_simulates_only_missing_cells() {
+        let dir = temp_dir("resume");
         let scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
         let cfg = SweepConfig {
             jobs: Some(2),
-            journal: Some(path.clone()),
             ..SweepConfig::default()
         };
-        let first = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        assert!(first.iter().all(|o| o.ok().is_some()));
+        // An interrupted sweep: only the first two cells finished.
+        let first = store_engine(&dir)
+            .run_sweep(&scenarios[..2], &cfg)
+            .expect("sweep runs");
+        let lines = index_lines(&dir);
+        assert_eq!(lines.len(), 2);
+        std::fs::write(
+            dir.join(INDEX_FILE),
+            format!("{}\n{}\n", tampered_line(&lines[0]), lines[1]),
+        )
+        .unwrap();
 
-        // Tamper with trial 0's journaled throughput. If the resumed
-        // sweep re-ran the scenario it would recompute the honest value;
-        // seeing 999 back proves the journal entry was reused verbatim.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let tampered: String = text
-            .lines()
-            .map(|line| {
-                let entry = parse_journal_line(line).expect("valid journal line");
-                if entry.index == 0 {
-                    let mut r = entry.outcome.ok().unwrap().clone();
-                    r.throughput_mbps[0] = 999.0;
-                    let mut out = journal_line(
-                        0,
-                        &scenario_hash_hex(&scenarios[0]),
-                        &TrialOutcome::Ok(r),
-                        None,
-                        None,
-                    );
-                    out.push('\n');
-                    out
-                } else {
-                    format!("{line}\n")
-                }
-            })
-            .collect();
-        std::fs::write(&path, tampered).unwrap();
-
-        let resumed = run_sweep(&scenarios, &cfg).expect("sweep runs");
+        let engine = store_engine(&dir);
+        let resumed = engine.run_sweep(&scenarios, &cfg).expect("sweep runs");
+        assert_eq!(engine.stats().store_hits, 2);
+        assert_eq!(engine.stats().simulated, 1, "only the missing cell runs");
         assert_eq!(resumed[0].ok().unwrap().throughput_mbps[0], 999.0);
-        // Untampered entries round-trip bit-exactly.
         assert_eq!(
             resumed[1].ok().unwrap().throughput_mbps,
             first[1].ok().unwrap().throughput_mbps
         );
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(index_lines(&dir).len(), 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn sweep_journal_ignores_stale_entries() {
-        let path = temp_path("stale");
-        let _ = std::fs::remove_file(&path);
+    fn changed_scenario_is_a_store_miss() {
+        let dir = temp_dir("stale");
         let scenarios: Vec<Scenario> = (0..2).map(tiny).collect();
         let cfg = SweepConfig {
             jobs: Some(1),
-            journal: Some(path.clone()),
             ..SweepConfig::default()
         };
-        let first = run_sweep(&scenarios, &cfg).expect("sweep runs");
+        let first = store_engine(&dir)
+            .run_sweep(&scenarios, &cfg)
+            .expect("sweep runs");
 
-        // Change scenario 1 (different seed): its journal entry's hash
-        // no longer matches and must be re-run; scenario 0 still resumes
-        // from the journal.
+        // Change scenario 1 (different seed): its content hash no longer
+        // matches any index entry, so it re-runs; scenario 0 resumes.
         let mut changed = scenarios.clone();
         changed[1] = tiny(77);
-        let resumed = run_sweep(&changed, &cfg).expect("sweep runs");
+        let engine = store_engine(&dir);
+        let resumed = engine.run_sweep(&changed, &cfg).expect("sweep runs");
+        assert_eq!(engine.stats().store_hits, 1);
+        assert_eq!(engine.stats().simulated, 1);
         assert_eq!(
             resumed[0].ok().unwrap().throughput_mbps,
             first[0].ok().unwrap().throughput_mbps
@@ -338,140 +351,111 @@ mod tests {
             resumed[1].ok().unwrap().throughput_mbps,
             first[1].ok().unwrap().throughput_mbps
         );
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn unopenable_journal_is_a_typed_error() {
-        // A journal path whose parent is a plain file can never be
-        // created: formerly a panic deep in the engine, now a typed
-        // error on run_sweep's Result path.
-        let blocker = temp_path("blocker");
-        std::fs::write(&blocker, "not a directory").unwrap();
-        let scenarios = vec![tiny(1)];
-        let cfg = SweepConfig {
-            jobs: Some(1),
-            journal: Some(blocker.join("sweep.jsonl")),
-            ..SweepConfig::default()
-        };
-        let err = run_sweep(&scenarios, &cfg).expect_err("journal under a plain file must fail");
-        match &err {
-            bbrdom_netsim::ConfigError::Io { what, path, .. } => {
-                assert_eq!(*what, "sweep journal");
-                assert!(path.contains("blocker"), "unhelpful path: {path}");
-            }
-            other => panic!("expected ConfigError::Io, got {other:?}"),
-        }
-        assert!(err.to_string().contains("sweep journal"), "{err}");
-        let _ = std::fs::remove_file(&blocker);
-    }
-
-    #[test]
-    fn resume_survives_truncated_tail_and_malformed_midline() {
-        let path = temp_path("torn");
-        let _ = std::fs::remove_file(&path);
+    fn torn_and_malformed_index_lines_are_misses_and_repaired() {
+        let dir = temp_dir("torn");
         let scenarios: Vec<Scenario> = (0..3).map(tiny).collect();
         let cfg = SweepConfig {
             jobs: Some(1),
-            journal: Some(path.clone()),
             ..SweepConfig::default()
         };
-        let first = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        assert!(first.iter().all(|o| o.ok().is_some()));
+        let first = store_engine(&dir)
+            .run_sweep(&scenarios, &cfg)
+            .expect("sweep runs");
 
-        // Rebuild the journal as a crash might leave it: line 0 valid
-        // but tampered (to prove reuse), a malformed mid-file line, and
-        // a torn final record with no trailing newline.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
+        // The index as a crash might leave it: line 0 valid but tampered
+        // (to prove reuse), a malformed mid-file line in place of line 1,
+        // and a torn final record with no trailing newline.
+        let lines = index_lines(&dir);
         assert_eq!(lines.len(), 3);
-        let mut r0 = first[0].ok().unwrap().clone();
-        r0.throughput_mbps[0] = 999.0;
-        let tampered0 = journal_line(
-            0,
-            &scenario_hash_hex(&scenarios[0]),
-            &TrialOutcome::Ok(r0),
-            None,
-            None,
-        );
         let torn = &lines[2][..lines[2].len() / 2];
         std::fs::write(
-            &path,
-            format!("{tampered0}\n{{malformed mid-file line\n{torn}"),
+            dir.join(INDEX_FILE),
+            format!(
+                "{}\n{{malformed mid-file line\n{torn}",
+                tampered_line(&lines[0])
+            ),
         )
         .unwrap();
 
-        let resumed = run_sweep(&scenarios, &cfg).expect("sweep resumes");
+        let engine = store_engine(&dir);
+        let resumed = engine.run_sweep(&scenarios, &cfg).expect("sweep resumes");
+        assert_eq!(engine.stats().store_hits, 1, "only line 0 is served");
         assert_eq!(
             resumed[0].ok().unwrap().throughput_mbps[0],
             999.0,
             "intact line 0 must resume without re-running"
         );
-        assert_eq!(
-            resumed[1].ok().unwrap().throughput_mbps,
-            first[1].ok().unwrap().throughput_mbps,
-            "malformed line 1 must be re-run"
-        );
-        assert_eq!(
-            resumed[2].ok().unwrap().throughput_mbps,
-            first[2].ok().unwrap().throughput_mbps,
-            "torn line 2 must be re-run"
-        );
+        // The misses fall through to the full reports on disk, which
+        // reproduce the first run exactly.
+        assert_eq!(engine.stats().disk_hits, 2);
+        for i in [1, 2] {
+            assert_eq!(
+                resumed[i].ok().unwrap().throughput_mbps,
+                first[i].ok().unwrap().throughput_mbps,
+                "line {i} must be a miss"
+            );
+        }
 
         // The torn tail was truncated before appending, so nothing was
-        // glued to the fragment: every index parses back exactly once.
-        let text = std::fs::read_to_string(&path).unwrap();
+        // glued to the fragment: every key parses back exactly once.
+        let text = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
         assert!(
             text.ends_with('\n'),
-            "repaired journal ends on a line boundary"
+            "repaired index ends on a line boundary"
         );
-        let reparsed: Vec<usize> = text
+        let keys: Vec<String> = text
             .lines()
-            .filter_map(|l| parse_journal_line(l).map(|e| e.index))
+            .filter_map(|l| StoreEntry::from_json_line(l).map(|e| e.key))
             .collect();
-        assert_eq!(reparsed, vec![0, 1, 2], "journal after resume:\n{text}");
-        let _ = std::fs::remove_file(&path);
+        let expected: Vec<String> = scenarios.iter().map(scenario_hash_hex).collect();
+        assert_eq!(keys, expected, "index after resume:\n{text}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn sweep_journal_skips_corrupt_lines() {
-        let path = temp_path("corrupt");
-        std::fs::write(&path, "{truncated\nnot json at all\n").unwrap();
-        let scenarios: Vec<Scenario> = vec![tiny(3)];
-        let cfg = SweepConfig {
-            jobs: Some(1),
-            journal: Some(path.clone()),
-            ..SweepConfig::default()
-        };
-        let outcomes = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        assert!(
-            outcomes[0].ok().is_some(),
-            "corrupt journal must be ignored"
-        );
-        let _ = std::fs::remove_file(&path);
+    fn corrupt_index_lines_are_skipped() {
+        let dir = temp_dir("corrupt");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(INDEX_FILE), "{truncated\nnot json at all\n").unwrap();
+        let engine = store_engine(&dir);
+        let outcomes = engine
+            .run_sweep(&[tiny(3)], &SweepConfig::default())
+            .expect("sweep runs");
+        assert!(outcomes[0].ok().is_some(), "corrupt index must be ignored");
+        assert_eq!(engine.stats().simulated, 1);
+        assert_eq!(Store::open(&dir).len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn failed_outcomes_are_journaled_and_resumed() {
-        let path = temp_path("failed");
-        let _ = std::fs::remove_file(&path);
+    fn failed_outcomes_are_indexed_and_rerun() {
+        let dir = temp_dir("failed");
         let mut scenarios: Vec<Scenario> = (0..2).map(tiny).collect();
         scenarios[0].flows.clear();
         let cfg = SweepConfig {
             jobs: Some(1),
-            journal: Some(path.clone()),
             ..SweepConfig::default()
         };
-        let first = run_sweep(&scenarios, &cfg).expect("sweep runs");
-        let resumed = run_sweep(&scenarios, &cfg).expect("sweep runs");
+        let first = store_engine(&dir)
+            .run_sweep(&scenarios, &cfg)
+            .expect("sweep runs");
+        let engine = store_engine(&dir);
+        let resumed = engine.run_sweep(&scenarios, &cfg).expect("sweep runs");
+        // The store never serves a failure: it re-runs (and fails the
+        // same way), while the success resumes.
         assert_eq!(
             resumed[0].failure().expect("still failed"),
             first[0].failure().expect("failed")
         );
-        // The journal holds exactly the two first-run lines: the resumed
-        // sweep re-ran nothing and appended nothing.
-        let lines = std::fs::read_to_string(&path).unwrap().lines().count();
-        assert_eq!(lines, 2);
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(engine.stats().simulated, 1);
+        assert_eq!(engine.stats().store_hits, 1);
+        // The index holds exactly the two first-run lines: a repeated
+        // failure is not re-appended.
+        assert_eq!(index_lines(&dir).len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

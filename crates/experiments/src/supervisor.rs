@@ -25,9 +25,14 @@
 //! Assigned-but-unclaimed scenarios are requeued without blame.
 //!
 //! Determinism is preserved by construction: every result is slotted by
-//! scenario index in the parent, which remains the journal's single
+//! scenario index in the parent, which remains the result store's single
 //! writer, so a supervised sweep is bit-identical to a serial one on
 //! every non-quarantined cell (see `tests/supervisor.rs`).
+//!
+//! Resume needs no state of its own: before sharding, the parent serves
+//! every cell the result store already holds, so a rerun of an
+//! interrupted batch spawns workers only for the unfinished cells (and
+//! for failures, which the store never serves).
 //!
 //! Test hooks: `BBRDOM_TEST_POISON_HASH` (comma-separated scenario
 //! keys) makes a worker abort — or stall forever with
@@ -35,11 +40,10 @@
 //! scenario; `BBRDOM_TEST_POISON_ONCE=<marker-path>` limits the
 //! sabotage to the first encounter so retries succeed.
 
-use crate::engine::{
-    batch_tag, parse_journal_line, scenario_context, CacheStats, Engine, EngineConfig,
-};
+use crate::engine::{scenario_context, CacheStats, Engine, EngineConfig};
 use crate::runner::{TrialFailure, TrialOutcome};
-use crate::scenario::Scenario;
+use crate::scenario::{Scenario, TrialResult};
+use bbrdom_netsim::hash::{StableHash, StableHasher};
 use bbrdom_netsim::json::{self, Value};
 use bbrdom_netsim::ConfigError;
 use std::collections::{HashMap, HashSet};
@@ -68,8 +72,8 @@ pub struct SupervisorConfig {
     /// The binary to spawn as `<worker_exe> worker --dir .. --id ..`
     /// (defaults to the current executable).
     pub worker_exe: PathBuf,
-    /// Directory for batch manifests, heartbeat/pid files, and the
-    /// auto-journal that makes supervised batches parent-crash safe.
+    /// Directory for per-batch work dirs: manifests, heartbeat and pid
+    /// files.
     pub state_dir: PathBuf,
     /// Extra environment for workers (test hooks use this so parallel
     /// tests never race on the parent's own environment).
@@ -193,12 +197,82 @@ fn add_stats(total: &mut CacheStats, part: &CacheStats) {
     total.events_simulated += part.events_simulated;
 }
 
+/// One worker→parent result line (see [`result_line`]).
+struct ResultLine {
+    index: usize,
+    key: String,
+    outcome: TrialOutcome,
+    /// The recorded event count, when known: the parent's result store
+    /// needs it to keep the entry budget-admissible.
+    events: Option<u64>,
+}
+
+/// Serialize one finished trial as a worker's result line. The line
+/// carries the scenario's content hash (`key`), so the parent can never
+/// slot a result under an index whose scenario differs.
+fn result_line(index: usize, key: &str, outcome: &TrialOutcome, events: Option<u64>) -> String {
+    let mut v = Value::object();
+    v.set("index", Value::U64(index as u64))
+        .set("key", key.into());
+    match outcome {
+        TrialOutcome::Ok(r) => {
+            v.set("ok", true.into()).set("result", r.to_json_value());
+        }
+        TrialOutcome::Failed(f) => {
+            v.set("ok", false.into())
+                .set("error", Value::Str(f.error.clone()))
+                .set("context", Value::Str(f.context.clone()));
+        }
+    }
+    if let Some(e) = events {
+        v.set("events", Value::U64(e));
+    }
+    v.to_json()
+}
+
+/// Parse one result line; `None` for anything else (claim and stats
+/// lines, or a line torn by a dying worker).
+fn parse_result_line(line: &str) -> Option<ResultLine> {
+    let v = json::parse(line).ok()?;
+    let index = v.get("index")?.as_u64()? as usize;
+    let key = v.get("key")?.as_str()?.to_string();
+    let outcome = match v.get("ok")? {
+        Value::Bool(true) => TrialOutcome::Ok(TrialResult::from_json_value(v.get("result")?).ok()?),
+        Value::Bool(false) => TrialOutcome::Failed(TrialFailure {
+            index,
+            error: v.get("error")?.as_str()?.to_string(),
+            context: v
+                .get("context")
+                .and_then(Value::as_str)
+                .unwrap_or("")
+                .to_string(),
+        }),
+        _ => return None,
+    };
+    Some(ResultLine {
+        index,
+        key,
+        outcome,
+        events: v.get("events").and_then(Value::as_u64),
+    })
+}
+
+/// Stable 64-bit tag of a batch's scenario-key list, naming its work dir.
+fn batch_tag(keys: &[String]) -> String {
+    let mut h = StableHasher::new();
+    h.write_bytes(b"sweep-batch");
+    (keys.len() as u64).stable_hash(&mut h);
+    for k in keys {
+        k.stable_hash(&mut h);
+    }
+    format!("{:016x}", h.finish() as u64)
+}
+
 /// Run the `pending` indices of a batch across worker subprocesses.
 /// Calls `on_result(index, outcome, events)` exactly once per pending
 /// index, in completion order (the caller slots by index and owns the
-/// journal and the result store — `events` is the worker-reported event
-/// count feeding the latter). Returns the workers' aggregated cache
-/// counters.
+/// result store — `events` is the worker-reported event count feeding
+/// it). Returns the workers' aggregated cache counters.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_supervised(
     config: &SupervisorConfig,
@@ -209,7 +283,6 @@ pub(crate) fn run_supervised(
     wall_budget_ns: Option<u64>,
     jobs_per_worker: usize,
     cache_dir: Option<&Path>,
-    journal_hint: Option<&Path>,
     on_result: &mut dyn FnMut(usize, TrialOutcome, Option<u64>),
 ) -> Result<CacheStats, ConfigError> {
     let work_dir =
@@ -301,7 +374,7 @@ pub(crate) fn run_supervised(
             for w in workers.values_mut() {
                 let _ = w.child.kill();
             }
-            exit_interrupted(journal_hint);
+            exit_interrupted();
         }
 
         // 1. Drain worker output (briefly block for the first event so
@@ -329,7 +402,7 @@ pub(crate) fn run_supervised(
                 add_stats(&mut stats, &part);
                 continue;
             }
-            let Some(entry) = parse_journal_line(&line) else {
+            let Some(entry) = parse_result_line(&line) else {
                 continue;
             };
             let i = entry.index;
@@ -457,7 +530,7 @@ pub(crate) fn run_supervised(
         }
         if workers.is_empty() {
             // No capacity and no way to get more: fail the remainder
-            // soft so the sweep (and its journal) still completes.
+            // soft so the sweep still completes.
             let mut rest: Vec<usize> = unresolved.iter().copied().collect();
             rest.sort_unstable();
             for i in rest {
@@ -603,8 +676,10 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
         .and_then(Value::as_u64)
         .map(Duration::from_millis);
     let event_budget = manifest.get("event_budget").and_then(Value::as_u64);
-    let wall_budget_ns = manifest.get("wall_budget_ns").and_then(Value::as_u64);
-    let wall_budget = wall_budget_ns.map(Duration::from_nanos);
+    let wall_budget = manifest
+        .get("wall_budget_ns")
+        .and_then(Value::as_u64)
+        .map(Duration::from_nanos);
     let cache_dir = manifest
         .get("cache_dir")
         .and_then(Value::as_str)
@@ -638,7 +713,7 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
         supervise: None,
         // Workers read the shared index but never append to it: only
         // the parent runs the batch executor, so the parent stays the
-        // index's single writer (same discipline as the journal).
+        // index's single writer.
         result_store: true,
     });
 
@@ -723,16 +798,7 @@ pub fn worker_main(dir: &Path, id: &str) -> i32 {
                     ),
                 };
                 inflight.lock().expect("inflight lock").remove(&i);
-                // The wire record is a journal record plus the event
-                // count (for the parent's result store). The parent
-                // re-serializes its own journal, so the extra field
-                // never reaches journal files.
-                let mut record =
-                    crate::engine::journal_value(i, key, &outcome, event_budget, wall_budget_ns);
-                if let Some(e) = events {
-                    record.set("events", Value::U64(e));
-                }
-                emit(&record.to_json());
+                emit(&result_line(i, key, &outcome, events));
             });
         }
     });
@@ -789,8 +855,8 @@ mod sig {
 }
 
 /// Install SIGINT/SIGTERM handlers that request a graceful stop: the
-/// engine finishes flushing the journal's contiguous prefix, prints a
-/// resume hint, and exits with code 130. Only the `repro` binary calls
+/// engine finishes indexing the contiguous prefix of finished trials,
+/// prints a resume hint, and exits with code 130. Only the `repro` binary calls
 /// this; library users keep default signal behavior.
 pub fn install_signal_handlers() {
     sig::install();
@@ -807,18 +873,12 @@ pub fn interrupted() -> bool {
     INTERRUPTED.load(Ordering::SeqCst)
 }
 
-/// Terminate after a graceful-stop signal: the journal (if any) already
-/// holds every finished trial in index order.
-pub(crate) fn exit_interrupted(journal: Option<&Path>) -> ! {
-    match journal {
-        Some(p) => eprintln!(
-            "\ninterrupted: journal {} holds every finished trial; rerun the same command to resume",
-            p.display()
-        ),
-        None => eprintln!(
-            "\ninterrupted: no sweep journal configured — a rerun restarts this batch (disk-cached trials are still skipped)"
-        ),
-    }
+/// Terminate after a graceful-stop signal: the result store (if any)
+/// already holds every finished trial in index order.
+pub(crate) fn exit_interrupted() -> ! {
+    eprintln!(
+        "\ninterrupted: finished trials are in the result store (unless --no-cache/--no-store); rerun the same command to resume"
+    );
     std::process::exit(130);
 }
 
@@ -877,6 +937,34 @@ mod tests {
         assert!(
             poison_armed("deadbeef").is_none() || std::env::var("BBRDOM_TEST_POISON_HASH").is_ok()
         );
+    }
+
+    #[test]
+    fn result_lines_round_trip() {
+        let failed = TrialOutcome::Failed(TrialFailure {
+            index: 3,
+            error: "event budget exceeded".into(),
+            context: "2 flows".into(),
+        });
+        let line = result_line(3, "k3", &failed, None);
+        let back = parse_result_line(&line).expect("result line parses");
+        assert_eq!(
+            (back.index, back.key.as_str(), back.events),
+            (3, "k3", None)
+        );
+        assert_eq!(back.outcome.failure(), failed.failure());
+        assert!(parse_result_line("{\"claim\":3}").is_none());
+        assert!(parse_result_line(&line[..line.len() / 2]).is_none());
+    }
+
+    #[test]
+    fn batch_tag_depends_on_keys_and_order() {
+        let a = vec!["k1".to_string(), "k2".to_string()];
+        let b = vec!["k2".to_string(), "k1".to_string()];
+        let c = vec!["k1".to_string(), "k2".to_string()];
+        assert_eq!(batch_tag(&a), batch_tag(&c));
+        assert_ne!(batch_tag(&a), batch_tag(&b));
+        assert_eq!(batch_tag(&a).len(), 16);
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! The determinism test layer for the parallel scenario engine.
 //!
 //! The engine's contract is that parallelism and caching are *invisible*:
-//! `--jobs 1` and `--jobs 8` produce byte-identical journals and
-//! bit-identical result vectors, every scenario field is part of the
+//! `--jobs 1` and `--jobs 8` produce byte-identical result-store indexes
+//! and bit-identical result vectors, every scenario field is part of the
 //! cache key, and a damaged cache entry degrades to re-simulation, never
 //! to a wrong or missing result. These tests pin each clause.
 
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::engine::{scenario_hash, Engine, EngineConfig};
 use bbrdom_experiments::runner::SweepConfig;
+use bbrdom_experiments::store::{StoreEntry, INDEX_FILE};
 use bbrdom_experiments::{
     EarlyStopSpec, FaultSpec, FlowSpec, Scenario, TopoLinkSpec, TopologySpec,
 };
@@ -26,14 +27,8 @@ fn uncached() -> Engine {
     })
 }
 
-fn temp_path(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("bbrdom-engine-{name}-{}", std::process::id()));
-    p
-}
-
 fn temp_dir(name: &str) -> PathBuf {
-    let p = temp_path(name);
+    let p = std::env::temp_dir().join(format!("bbrdom-engine-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&p);
     p
 }
@@ -73,13 +68,33 @@ fn decode_scenario(shape: u32, seed: u64, lossy: f64) -> Scenario {
     }
 }
 
+/// An engine that simulates every distinct cell (no memo) but indexes
+/// each finished trial in `dir`'s result store, like a cold `repro` run.
+fn indexing(dir: &std::path::Path, jobs: usize) -> Engine {
+    Engine::new(EngineConfig {
+        jobs,
+        disk_cache: Some(dir.to_path_buf()),
+        memory_cache: false,
+        supervise: None,
+        result_store: true,
+    })
+}
+
+fn sweep(jobs: usize, event_budget: Option<u64>) -> SweepConfig {
+    SweepConfig {
+        jobs: Some(jobs),
+        event_budget,
+        ..SweepConfig::default()
+    }
+}
+
 proptest! {
     // Simulations are costly; a handful of random batches is plenty to
-    // catch a scheduling-dependent result or journal interleaving.
+    // catch a scheduling-dependent result or index interleaving.
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// `--jobs 1` and `--jobs 8` must produce bit-identical result
-    /// vectors and byte-identical JSONL journals, faults included.
+    /// vectors and byte-identical result-store indexes, faults included.
     #[test]
     fn parallelism_is_invisible(
         draws in prop::collection::vec((0u32..16, 0u64..u64::MAX, 0.0f64..1.0), 2..5),
@@ -89,29 +104,19 @@ proptest! {
             .iter()
             .map(|&(shape, seed, lossy)| decode_scenario(shape, seed, lossy))
             .collect();
-        let serial_journal = temp_path(&format!("det-serial-{case}"));
-        let parallel_journal = temp_path(&format!("det-parallel-{case}"));
-        let _ = std::fs::remove_file(&serial_journal);
-        let _ = std::fs::remove_file(&parallel_journal);
+        let serial_dir = temp_dir(&format!("det-serial-{case}"));
+        let parallel_dir = temp_dir(&format!("det-parallel-{case}"));
 
-        let serial = uncached()
-            .run_sweep(&scenarios, &SweepConfig {
-                jobs: Some(1),
-                journal: Some(serial_journal.clone()),
-                ..SweepConfig::default()
-            })
+        let serial = indexing(&serial_dir, 1)
+            .run_sweep(&scenarios, &sweep(1, None))
             .expect("serial sweep runs");
-        let parallel = uncached()
-            .run_sweep(&scenarios, &SweepConfig {
-                jobs: Some(8),
-                journal: Some(parallel_journal.clone()),
-                ..SweepConfig::default()
-            })
+        let parallel = indexing(&parallel_dir, 8)
+            .run_sweep(&scenarios, &sweep(8, None))
             .expect("parallel sweep runs");
 
-        // Byte-identical journals: same lines, same order, same floats.
-        let serial_bytes = std::fs::read(&serial_journal).unwrap();
-        let parallel_bytes = std::fs::read(&parallel_journal).unwrap();
+        // Byte-identical indexes: same lines, same order, same floats.
+        let serial_bytes = std::fs::read(serial_dir.join(INDEX_FILE)).unwrap();
+        let parallel_bytes = std::fs::read(parallel_dir.join(INDEX_FILE)).unwrap();
         prop_assert_eq!(serial_bytes, parallel_bytes);
 
         // Bit-identical result vectors (JSON text pins every float bit
@@ -123,8 +128,8 @@ proptest! {
                 p.ok().unwrap().to_json_value().to_json()
             );
         }
-        let _ = std::fs::remove_file(&serial_journal);
-        let _ = std::fs::remove_file(&parallel_journal);
+        let _ = std::fs::remove_dir_all(&serial_dir);
+        let _ = std::fs::remove_dir_all(&parallel_dir);
     }
 }
 
@@ -355,7 +360,7 @@ fn every_scenario_field_changes_the_hash() {
 /// Cache-key compatibility: a topology-free scenario must keep the hash
 /// it had before the `topology` field existed (the `b"topology"` marker
 /// is only appended when the field is set), so every historical disk
-/// cache entry and journal key stays valid. The digest below was
+/// cache entry and index key stays valid. The digest below was
 /// computed with the pre-topology hasher; it must never change.
 #[test]
 fn topology_free_scenarios_keep_their_historical_hash() {
@@ -370,6 +375,27 @@ fn topology_free_scenarios_keep_their_historical_hash() {
     assert_ne!(
         scenario_hash(&s.clone().with_equivalent_topology()),
         scenario_hash(&s)
+    );
+}
+
+/// Cache-key compatibility for faulted scenarios: the fault term hashes
+/// the compiled `FaultSchedule` (loss rates, outage, rate step and delay
+/// spike times, plus the derived fault RNG seed) through netsim's
+/// `StableHash` impls. The digest below is pinned: if it moves, every
+/// cached faulted cell silently becomes a miss.
+#[test]
+fn faulted_scenarios_keep_their_historical_hash() {
+    let s = Scenario::versus(50.0, 40.0, 4.0, 2, CcaKind::Bbr, 2, 10.0, 7).with_faults(FaultSpec {
+        loss_fwd: 0.01,
+        loss_ack: 0.005,
+        outages: vec![(2.0, 0.25)],
+        rate_steps: vec![(4.0, 25.0)],
+        delay_spikes: vec![(6.0, 0.5, 30.0)],
+    });
+    assert_eq!(
+        format!("{:032x}", scenario_hash(&s)),
+        "e3997dc333fb0cca42bbc7102630696f",
+        "faulted cache keys must stay stable across releases"
     );
 }
 
@@ -491,72 +517,53 @@ fn cache_respects_event_budgets() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Regression (the journal staleness bug this PR fixes): a failure
-/// recorded under one budget must be re-run — not resumed — when the
-/// budget changes. Before hash+budget keying, raising the budget
-/// resurrected the stale failure forever.
+/// A failure indexed under one budget is never served: raising the
+/// budget re-runs the trial to success, which supersedes the failure in
+/// the index, and an identical rerun then resumes that success.
 #[test]
-fn journal_failures_rerun_when_budget_changes() {
-    let path = temp_path("budget-rekey");
-    let _ = std::fs::remove_file(&path);
+fn indexed_failures_rerun_when_budget_changes() {
+    let dir = temp_dir("budget-rekey");
     let scenario = short_scenario(10.0, 1.0, 1, 0, 5);
+    let one = std::slice::from_ref(&scenario);
 
-    let strangled = uncached()
-        .run_sweep(
-            std::slice::from_ref(&scenario),
-            &SweepConfig {
-                jobs: Some(1),
-                event_budget: Some(100),
-                journal: Some(path.clone()),
-                ..SweepConfig::default()
-            },
-        )
+    let strangled = indexing(&dir, 1)
+        .run_sweep(one, &sweep(1, Some(100)))
         .expect("strangled sweep runs");
     assert!(strangled[0].failure().is_some(), "tiny budget must trip");
+    let failed =
+        StoreEntry::from_json_line(&std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap())
+            .expect("the failure is indexed");
+    assert!(failed.ok().is_none());
 
-    // Same journal, generous budget: the journaled failure no longer
-    // matches (different budget) and the trial re-runs to success.
-    let engine = uncached();
+    // Same store, generous budget: the indexed failure is not served,
+    // and the trial re-runs to success.
+    let engine = indexing(&dir, 1);
     let recovered = engine
-        .run_sweep(
-            std::slice::from_ref(&scenario),
-            &SweepConfig {
-                jobs: Some(1),
-                event_budget: Some(10_000_000),
-                journal: Some(path.clone()),
-                ..SweepConfig::default()
-            },
-        )
+        .run_sweep(one, &sweep(1, Some(10_000_000)))
         .expect("recovered sweep runs");
     assert!(
         recovered[0].ok().is_some(),
-        "raised budget must re-run the journaled failure, got {:?}",
+        "raised budget must re-run the indexed failure, got {:?}",
         recovered[0].failure()
     );
     assert_eq!(engine.stats().simulated, 1);
+    assert_eq!(engine.stats().store_hits, 0);
 
     // And an identical rerun resumes the success without simulating.
-    let resumed_engine = uncached();
+    let resumed_engine = indexing(&dir, 1);
     let resumed = resumed_engine
-        .run_sweep(
-            std::slice::from_ref(&scenario),
-            &SweepConfig {
-                jobs: Some(1),
-                event_budget: Some(10_000_000),
-                journal: Some(path.clone()),
-                ..SweepConfig::default()
-            },
-        )
+        .run_sweep(one, &sweep(1, Some(10_000_000)))
         .expect("resumed sweep runs");
     assert!(resumed[0].ok().is_some());
     assert_eq!(resumed_engine.stats().simulated, 0);
-    let _ = std::fs::remove_file(&path);
+    assert_eq!(resumed_engine.stats().store_hits, 1);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Fail-soft under parallelism: with `jobs = 4` and an event budget that
 /// only the long scenarios exceed, exactly those trials fail, and the
-/// journal holds exactly one line per scenario — none lost to a race,
-/// none duplicated.
+/// index holds exactly one line per scenario, in scenario order — none
+/// lost to a race, none duplicated.
 #[test]
 fn concurrent_budget_failures_are_exact() {
     let short = |seed| short_scenario(10.0, 1.0, 1, 1, seed);
@@ -573,18 +580,9 @@ fn concurrent_budget_failures_are_exact() {
     let scenarios = vec![short(1), long(2), short(3), long(4), short(5), long(6)];
     let expect_failed = [1usize, 3, 5];
 
-    let path = temp_path("concurrent-budget");
-    let _ = std::fs::remove_file(&path);
-    let outcomes = uncached()
-        .run_sweep(
-            &scenarios,
-            &SweepConfig {
-                jobs: Some(4),
-                event_budget: Some(budget),
-                journal: Some(path.clone()),
-                ..SweepConfig::default()
-            },
-        )
+    let dir = temp_dir("concurrent-budget");
+    let outcomes = indexing(&dir, 4)
+        .run_sweep(&scenarios, &sweep(4, Some(budget)))
         .expect("concurrent sweep runs");
 
     for (i, outcome) in outcomes.iter().enumerate() {
@@ -599,20 +597,23 @@ fn concurrent_budget_failures_are_exact() {
         }
     }
 
-    // Exactly one journal line per scenario, indices 0..n in order.
-    let text = std::fs::read_to_string(&path).unwrap();
-    let indices: Vec<u64> = text
+    // Exactly one index line per scenario, in scenario order, each
+    // recording the right verdict.
+    let text = std::fs::read_to_string(dir.join(INDEX_FILE)).unwrap();
+    let entries: Vec<StoreEntry> = text
         .lines()
-        .map(|l| {
-            bbrdom_netsim::json::parse(l)
-                .unwrap()
-                .get("index")
-                .and_then(bbrdom_netsim::json::Value::as_u64)
-                .unwrap()
-        })
+        .map(|l| StoreEntry::from_json_line(l).expect("well-formed index line"))
         .collect();
-    assert_eq!(indices, (0..scenarios.len() as u64).collect::<Vec<_>>());
-    let _ = std::fs::remove_file(&path);
+    let keys: Vec<String> = entries.iter().map(|e| e.key.clone()).collect();
+    let expected: Vec<String> = scenarios
+        .iter()
+        .map(|s| format!("{:032x}", scenario_hash(s)))
+        .collect();
+    assert_eq!(keys, expected);
+    for (i, e) in entries.iter().enumerate() {
+        assert_eq!(e.ok().is_none(), expect_failed.contains(&i), "line {i}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Intra-batch dedup: a payoff matrix evaluates identical cells; the

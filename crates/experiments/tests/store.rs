@@ -11,7 +11,7 @@
 use bbrdom_cca::CcaKind;
 use bbrdom_experiments::engine::{scenario_hash, Engine, EngineConfig};
 use bbrdom_experiments::runner::SweepConfig;
-use bbrdom_experiments::store::{Store, INDEX_FILE};
+use bbrdom_experiments::store::{Store, StoreEntry, INDEX_FILE};
 use bbrdom_experiments::{Scenario, SupervisorConfig, TrialResult};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -115,7 +115,7 @@ fn warm_store_serves_batches_with_zero_sims_and_zero_parses() {
 }
 
 /// A torn index tail (crash mid-append) is skipped on load and
-/// truncated by the next append, exactly like the sweep journal.
+/// truncated by the next append.
 #[test]
 fn index_torn_tail_recovers_on_reopen() {
     let dir = temp_dir("torn");
@@ -173,16 +173,62 @@ fn index_torn_tail_recovers_on_reopen() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A line nested past the JSON parser's depth limit (here a million
+/// `[`, which would overflow the stack of an unbounded recursive parser)
+/// loads as a miss like any other malformed line, and the next append
+/// lands on a line of its own.
+#[test]
+fn deeply_nested_index_line_is_a_miss() {
+    let dir = temp_dir("deep");
+    let cache = dir.join("cache");
+    let scenarios = batch(3);
+    engine(&cache, false, true).run_all(&scenarios[..2]);
+    let index = cache.join(INDEX_FILE);
+    let mut text = std::fs::read_to_string(&index).unwrap();
+    let good: Vec<String> = text.lines().map(str::to_string).collect();
+    text = format!("{}\n{}\n{}\n", good[0], "[".repeat(1_000_000), good[1]);
+    std::fs::write(&index, &text).unwrap();
+
+    let store = Store::open(&cache);
+    assert_eq!(store.len(), 2, "both intact lines load around the deep one");
+    let e = engine(&cache, false, true);
+    e.run_all(&scenarios);
+    assert_eq!(e.stats().store_hits, 2);
+    assert_eq!(e.stats().simulated, 1);
+    assert_eq!(Store::open(&cache).len(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An index line torn at any byte is a miss, never a panic: every proper
+/// prefix of a real line either fails to parse or fails to decode.
+#[test]
+fn every_prefix_of_an_index_line_is_a_miss_not_a_panic() {
+    let dir = temp_dir("prefixes");
+    let cache = dir.join("cache");
+    engine(&cache, false, true).run_all(&batch(1));
+    let line = std::fs::read_to_string(cache.join(INDEX_FILE)).unwrap();
+    let line = line.trim_end();
+    assert!(StoreEntry::from_json_line(line).is_some());
+    for end in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+        assert!(
+            StoreEntry::from_json_line(&line[..end]).is_none(),
+            "prefix of {end} bytes decoded"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Single-writer discipline across process boundaries: a supervised
-/// sweep's index (written only by the parent, from worker-reported
-/// results) is byte-identical to the serial run's.
+/// sweep returns the serial run's outcomes bit for bit, and its index
+/// (written only by the parent, from worker-reported results) is
+/// byte-identical to the serial run's.
 #[test]
 fn supervised_index_is_byte_identical_to_serial() {
     let dir = temp_dir("supervised");
-    let scenarios = batch(6);
+    let scenarios = batch(8);
 
     let serial_cache = dir.join("serial-cache");
-    engine(&serial_cache, true, true)
+    let serial = engine(&serial_cache, true, true)
         .run_sweep(&scenarios, &SweepConfig::default())
         .expect("serial sweep runs");
 
@@ -197,9 +243,23 @@ fn supervised_index_is_byte_identical_to_serial() {
         supervise: Some(sup),
         result_store: true,
     });
-    supervised
+    let outcomes = supervised
         .run_sweep(&scenarios, &SweepConfig::default())
         .expect("supervised sweep runs");
+    assert_eq!(
+        supervised.stats().simulated,
+        8,
+        "every cell ran in a worker"
+    );
+    let results = |o: &[bbrdom_experiments::runner::TrialOutcome]| -> Vec<TrialResult> {
+        o.iter()
+            .map(|o| o.ok().expect("healthy cell").clone())
+            .collect()
+    };
+    assert_eq!(
+        fingerprints(&results(&serial)),
+        fingerprints(&results(&outcomes))
+    );
 
     let serial_index = std::fs::read(serial_cache.join(INDEX_FILE)).expect("serial index");
     let sup_index = std::fs::read(sup_cache.join(INDEX_FILE)).expect("supervised index");

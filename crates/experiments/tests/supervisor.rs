@@ -1,10 +1,11 @@
 //! End-to-end tests for the crash-safe sweep supervisor.
 //!
 //! The contract under test: a supervised sweep (`--supervise N`) is
-//! bit-identical to a serial one — same outcome vector, byte-identical
-//! journal — on every cell whose worker survives; a scenario that kills
-//! its worker repeatedly is quarantined as a structured failure while
-//! the rest of the batch completes; and killed or stalled workers are
+//! bit-identical to a serial one on every cell whose worker survives
+//! (the byte-identical index is pinned in `tests/store.rs`); a scenario
+//! that kills its worker repeatedly is quarantined as a structured
+//! failure while the rest of the batch completes, and a rerun resumes
+//! the rest from the result store; and killed or stalled workers are
 //! replaced without losing or duplicating results.
 //!
 //! Sabotage is injected through the `BBRDOM_TEST_POISON_*` hooks,
@@ -46,9 +47,10 @@ fn batch(n: usize) -> Vec<Scenario> {
         .collect()
 }
 
-/// The supervised engine under test: `workers` subprocesses re-execing
-/// this suite's `repro` binary, sharing `dir/cache`, with fast-failure
-/// tuning so sabotage tests finish in seconds.
+/// The supervised engine under test, configured like `repro`: `workers`
+/// subprocesses re-execing this suite's `repro` binary, sharing
+/// `dir/cache` and its result store, with fast-failure tuning so
+/// sabotage tests finish in seconds.
 fn supervised_engine(dir: &Path, workers: usize, env: Vec<(String, String)>) -> Engine {
     let mut sup = SupervisorConfig::new(workers, dir.join("state"));
     sup.worker_exe = PathBuf::from(env!("CARGO_BIN_EXE_repro"));
@@ -59,7 +61,7 @@ fn supervised_engine(dir: &Path, workers: usize, env: Vec<(String, String)>) -> 
         disk_cache: Some(dir.join("cache")),
         memory_cache: true,
         supervise: Some(sup),
-        result_store: false,
+        result_store: true,
     })
 }
 
@@ -85,44 +87,11 @@ fn fingerprints(outcomes: &[TrialOutcome]) -> Vec<String> {
         .collect()
 }
 
-fn journal_sweep(journal: PathBuf) -> SweepConfig {
-    SweepConfig {
-        journal: Some(journal),
-        ..SweepConfig::default()
-    }
-}
-
-/// Healthy workers: the supervised sweep reproduces the serial sweep
-/// bit-for-bit — same outcomes, byte-identical journal.
-#[test]
-fn supervised_sweep_is_bit_identical_to_serial() {
-    let dir = temp_dir("identical");
-    let scenarios = batch(8);
-
-    let serial_journal = dir.join("serial.jsonl");
-    let serial = serial_engine(&dir)
-        .run_sweep(&scenarios, &journal_sweep(serial_journal.clone()))
-        .expect("serial sweep runs");
-
-    let sup_journal = dir.join("supervised.jsonl");
-    let supervised = supervised_engine(&dir, 2, Vec::new())
-        .run_sweep(&scenarios, &journal_sweep(sup_journal.clone()))
-        .expect("supervised sweep runs");
-
-    assert_eq!(fingerprints(&serial), fingerprints(&supervised));
-    let serial_bytes = std::fs::read(&serial_journal).expect("serial journal exists");
-    let sup_bytes = std::fs::read(&sup_journal).expect("supervised journal exists");
-    assert_eq!(
-        serial_bytes, sup_bytes,
-        "supervised journal must be byte-identical to the serial one"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A scenario that aborts its worker on every claim is quarantined
 /// after `max_strikes` deaths; every other cell still matches the
-/// serial run, and a journal resume keeps the quarantine verdict
-/// without re-running anything.
+/// serial run. A rerun resumes from the result store: the parent serves
+/// the healthy cells itself, and the quarantine — a failure, which the
+/// store never serves — is retried and reached again.
 #[test]
 fn poisoned_scenario_is_quarantined_and_the_rest_match_serial() {
     let dir = temp_dir("quarantine");
@@ -134,10 +103,9 @@ fn poisoned_scenario_is_quarantined_and_the_rest_match_serial() {
         .run_sweep(&scenarios, &SweepConfig::default())
         .expect("serial sweep runs");
 
-    let journal = dir.join("sweep.jsonl");
     let env = vec![("BBRDOM_TEST_POISON_HASH".to_string(), key)];
     let outcomes = supervised_engine(&dir, 2, env.clone())
-        .run_sweep(&scenarios, &journal_sweep(journal.clone()))
+        .run_sweep(&scenarios, &SweepConfig::default())
         .expect("supervised sweep survives the poison");
 
     let serial_fp = fingerprints(&serial);
@@ -156,19 +124,18 @@ fn poisoned_scenario_is_quarantined_and_the_rest_match_serial() {
         }
     }
 
-    // Resume from the journal: the quarantine is a recorded failure with
-    // matching (absent) budgets, so nothing re-runs — not even the
-    // poisoned cell.
     let resumed_engine = supervised_engine(&dir, 2, env);
     let resumed = resumed_engine
-        .run_sweep(&scenarios, &journal_sweep(journal))
+        .run_sweep(&scenarios, &SweepConfig::default())
         .expect("resume runs");
-    assert_eq!(fingerprints(&resumed), fp, "resume must replay the journal");
     assert_eq!(
-        resumed_engine.stats().simulated,
-        0,
-        "a full journal leaves nothing to simulate"
+        fingerprints(&resumed),
+        fp,
+        "resume must reproduce the first run"
     );
+    let stats = resumed_engine.stats();
+    assert_eq!(stats.store_hits, scenarios.len() as u64 - 1);
+    assert_eq!(stats.simulated, 0, "only the poisoned cell is retried");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

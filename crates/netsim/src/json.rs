@@ -306,11 +306,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Everything this repo
+/// writes nests at most about six levels; the bound keeps a hostile or
+/// corrupt line (say, a million `[`) from recursing the parser into a
+/// stack overflow, which would abort the process instead of returning a
+/// [`ParseError`].
+const MAX_DEPTH: usize = 128;
+
 /// Parse a complete JSON document (trailing whitespace allowed).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -324,6 +332,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -364,8 +374,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("nesting too deep"));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -573,6 +594,21 @@ mod tests {
         assert!(parse("nul").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_an_abort() {
+        let err = parse(&"[".repeat(1_000_000)).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

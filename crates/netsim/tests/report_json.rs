@@ -10,10 +10,14 @@ use bbrdom_netsim::{
 };
 
 fn busy_report() -> SimReport {
+    busy_report_for(3.0)
+}
+
+fn busy_report_for(secs: f64) -> SimReport {
     let rate = Rate::from_mbps(10.0);
     let rtt = SimDuration::from_millis(20);
     let buf = bbrdom_netsim::units::buffer_bytes(rate, rtt, 0.5);
-    let cfg = SimConfig::new(rate, buf, SimDuration::from_secs_f64(3.0))
+    let cfg = SimConfig::new(rate, buf, SimDuration::from_secs_f64(secs))
         .with_trace(SimDuration::from_millis(250))
         .with_faults(FaultSchedule::none().with_loss(0.01).with_seed(7));
     let mut sim = Simulator::new(cfg);
@@ -136,4 +140,20 @@ fn sim_report_parse_rejects_malformed_input() {
         map.remove("queue");
     }
     assert!(SimReport::from_json_value(&missing).is_err());
+}
+
+/// A cache entry torn at any byte (a crash mid-write, a full disk) is a
+/// parse error, never a panic: every proper prefix of a real report's
+/// JSON either fails to parse or fails to decode as a `SimReport`. (The
+/// run is short: queue samples make a 3 s report ~60 kB, and the
+/// quadratic scan over that takes tens of seconds for no new syntax.)
+#[test]
+fn every_prefix_of_a_report_is_an_error_not_a_panic() {
+    let text = busy_report_for(0.5).to_json_value().to_json();
+    for end in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        let decoded = json::parse(&text[..end])
+            .ok()
+            .and_then(|v| SimReport::from_json_value(&v).ok());
+        assert!(decoded.is_none(), "prefix of {end} bytes decoded");
+    }
 }
